@@ -1,18 +1,15 @@
-//! Large-frame benchmark: end-to-end refinement wall clock on seeded
-//! synthetic staircase targets — larger than the ILT clip suite — across
-//! the exact incremental engine (1 and 4 threads) and the fast non-exact
-//! tiers (relaxed lattice scoring, coarse-to-fine at 2× and 4×, and the
-//! FFT-seeded intensity backend), plus a chunk-level microbenchmark of
+//! intensity backend), plus a chunk-level microbenchmark of
 //! the strip scorers themselves and a "sliver storm" map-seeding
-//! comparison (separable serial vs row-parallel vs FFT synthesis, with
-//! the FFT path's ≥5× seeding-speedup contract asserted).
+//! comparison (separable rebuild vs FFT synthesis, with the FFT path's
+//! ≥5× seeding-speedup contract asserted).
 //!
 //! The targets are generated from a fixed seed so the benchmark is
 //! bit-identical everywhere it runs. Every frame is classified and
 //! approximately fractured once; each mode then refines the same starting
-//! solution. The exact modes must produce identical shot lists (asserted
-//! end to end); the relaxed/coarse modes only promise that quality tracks
-//! the exact reference (no more failing pixels than it leaves).
+//! solution. The exact mode is the reference; the relaxed/coarse/fft
+//! modes only promise that quality tracks it (no more failing pixels than
+//! it leaves). Mode names keep the `-t1` suffix the committed baseline is
+//! keyed on.
 //!
 //! The chunk-level microbenchmark times `cost_delta_for_strip` against
 //! `cost_delta_for_strip_relaxed` on the refined solution's edge slabs
@@ -25,7 +22,7 @@
 //! Honours `--trace` and `--metrics-out <path>`, and always writes the
 //! machine-readable run report `results/BENCH_frame.json` (see
 //! `docs/observability.md` and `docs/benchmarks.md`). CI's perf-smoke job
-//! compares the shot counts of the exact modes in that report against the
+//! compares the shot counts of every mode in that report against the
 //! committed baseline, gated on `frame.bench.suite_fingerprint`, and
 //! requires the `frame.bench.chunk.*` and `frame.bench.rebuild.*`
 //! counters to be present.
@@ -56,7 +53,6 @@ maskfrac_obs::impl_to_json!(FrameRow { frame, mode, shots, fail_pixels, refine_s
 
 struct Mode {
     name: &'static str,
-    threads: usize,
     /// Coarse-to-fine factor (1 = single-tier).
     coarse: usize,
     /// Lattice-profile + multi-accumulator scoring.
@@ -64,18 +60,16 @@ struct Mode {
     /// Seed the intensity map with the FFT full-frame synthesis instead
     /// of the separable per-shot rebuild.
     fft: bool,
-    /// Exact modes share the byte-parity contract; relaxed/coarse/fft
-    /// modes only promise quality no worse than the exact reference.
-    exact: bool,
 }
 
-const MODES: [Mode; 6] = [
-    Mode { name: "exact-t1", threads: 1, coarse: 1, relaxed: false, fft: false, exact: true },
-    Mode { name: "exact-t4", threads: 4, coarse: 1, relaxed: false, fft: false, exact: true },
-    Mode { name: "relaxed-t1", threads: 1, coarse: 1, relaxed: true, fft: false, exact: false },
-    Mode { name: "coarse2-t1", threads: 1, coarse: 2, relaxed: false, fft: false, exact: false },
-    Mode { name: "coarse4-t1", threads: 1, coarse: 4, relaxed: false, fft: false, exact: false },
-    Mode { name: "fft-t1", threads: 1, coarse: 1, relaxed: false, fft: true, exact: false },
+/// The first mode is the exact reference; the others only promise quality
+/// no worse than it.
+const MODES: [Mode; 5] = [
+    Mode { name: "exact-t1", coarse: 1, relaxed: false, fft: false },
+    Mode { name: "relaxed-t1", coarse: 1, relaxed: true, fft: false },
+    Mode { name: "coarse2-t1", coarse: 2, relaxed: false, fft: false },
+    Mode { name: "coarse4-t1", coarse: 4, relaxed: false, fft: false },
+    Mode { name: "fft-t1", coarse: 1, relaxed: false, fft: true },
 ];
 
 /// Tiny seeded xorshift64 — the bench crate carries no RNG dependency,
@@ -219,10 +213,9 @@ fn chunk_microbench(fracturer: &ModelBasedFracturer, target: &Polygon, shots: &[
 
 /// Seeds a dense "sliver storm" — tens of thousands of 2–4 nm shots on a
 /// 900×900 nm frame, the regime FFT synthesis is built for — and times
-/// the three ways of building that frame's intensity map from scratch:
-/// the separable per-shot rebuild (serial reference), the row-parallel
-/// rebuild over 4 bands (asserted value-identical to the serial walk),
-/// and the FFT full-frame synthesis. Timings are published as the
+/// the two ways of building that frame's intensity map from scratch: the
+/// separable per-shot rebuild (the reference) and the FFT full-frame
+/// synthesis. Timings are published as the
 /// `frame.bench.rebuild.*` counters; the FFT path must deliver its
 /// advertised >=5x seeding speedup here, and must agree with the
 /// separable map within the 3-sigma window-truncation bound (the FFT
@@ -248,16 +241,6 @@ fn rebuild_storm(full: bool) {
     serial.rebuild(shots.iter());
     let serial_s = t0.elapsed().as_secs_f64();
 
-    let mut banded = IntensityMap::new(model.clone(), frame);
-    let t0 = std::time::Instant::now();
-    banded.rebuild_rows(&shots, 4);
-    let banded_s = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        banded.max_abs_diff(&serial),
-        0.0,
-        "row-parallel rebuild diverged from the serial walk"
-    );
-
     let mut fft = IntensityMap::new(model, frame);
     let t0 = std::time::Instant::now();
     fft.rebuild_fft(&shots);
@@ -267,12 +250,11 @@ fn rebuild_storm(full: bool) {
     let speedup = serial_s / fft_s.max(1e-12);
     println!(
         "\nrebuild storm ({count} slivers on {side}x{side}): separable {serial_s:.3}s, \
-         row-parallel(4) {banded_s:.3}s, fft {fft_s:.3}s ({speedup:.1}x), \
+         fft {fft_s:.3}s ({speedup:.1}x), \
          max |fft - separable| = {fft_diff:.2e}"
     );
     maskfrac_obs::counter!("frame.bench.rebuild.shots").add(count as u64);
     maskfrac_obs::counter!("frame.bench.rebuild.separable_us").add((serial_s * 1e6) as u64);
-    maskfrac_obs::counter!("frame.bench.rebuild.rows4_us").add((banded_s * 1e6) as u64);
     maskfrac_obs::counter!("frame.bench.rebuild.fft_us").add((fft_s * 1e6) as u64);
     assert!(
         speedup >= 5.0,
@@ -321,12 +303,10 @@ fn main() {
     for (id, target) in &frames {
         let cls = fracturer.classify(target);
         let approx = approximate_fracture(target, &cls, fracturer.model(), &base, fracturer.lth());
-        let mut reference: Option<Vec<Rect>> = None;
         let mut reference_fails = 0usize;
         for (mi, mode) in MODES.iter().enumerate() {
             let cfg = FractureConfig {
                 incremental_refine: true,
-                refine_threads: mode.threads,
                 coarse_factor: mode.coarse,
                 relaxed_scoring: mode.relaxed,
                 intensity_backend: if mode.fft {
@@ -340,20 +320,10 @@ fn main() {
             let out = refine(&cls, fracturer.model(), &cfg, approx.shots.clone());
             let dt = t0.elapsed().as_secs_f64();
             totals[mi] += dt;
-            if mode.exact {
-                match &reference {
-                    None => {
-                        reference = Some(out.shots.clone());
-                        reference_fails = out.summary.fail_count();
-                        if first_refined.is_none() {
-                            first_refined = Some(out.shots.clone());
-                        }
-                    }
-                    Some(want) => assert_eq!(
-                        &out.shots, want,
-                        "{id}: {} diverged from the reference shot list",
-                        mode.name
-                    ),
+            if mi == 0 {
+                reference_fails = out.summary.fail_count();
+                if first_refined.is_none() {
+                    first_refined = Some(out.shots.clone());
                 }
             } else {
                 assert!(
@@ -413,6 +383,8 @@ fn main() {
     for name in [
         "refine.candidates.scored",
         "refine.candidates.skipped",
+        "refine.spare_core.passes",
+        "refine.spare_core.denied",
         "fracture.refine.coarse_iterations",
         "fracture.refine.polish_iterations",
         "ebeam.lut.lattice_builds",

@@ -1,7 +1,8 @@
 //! Refinement-engine benchmark: wall clock of §4 shot refinement under
-//! the full-rescan reference path, the incremental dirty-window engine at
-//! 1 and 4 scoring threads, and the fast non-exact tiers (relaxed lattice
-//! scoring, coarse-to-fine at 2× and 4×), on a fixed clip subset.
+//! the full-rescan reference path, the incremental dirty-window engine,
+//! and the fast non-exact tiers (relaxed lattice scoring, coarse-to-fine
+//! at 2× and 4×), on a fixed clip subset. Mode names keep the `-t1`
+//! suffix the committed baseline is keyed on.
 //!
 //! Every mode starts from the same approximate solution. The *exact*
 //! modes must produce the identical shot list (the engines are
@@ -45,7 +46,6 @@ maskfrac_obs::impl_to_json!(RefineRow { clip, mode, shots, fail_pixels, refine_s
 struct Mode {
     name: &'static str,
     incremental: bool,
-    threads: usize,
     /// Coarse-to-fine factor (1 = single-tier).
     coarse: usize,
     /// Lattice-profile + multi-accumulator scoring.
@@ -55,13 +55,12 @@ struct Mode {
     exact: bool,
 }
 
-const MODES: [Mode; 6] = [
-    Mode { name: "full-rescan", incremental: false, threads: 1, coarse: 1, relaxed: false, exact: true },
-    Mode { name: "incremental-t1", incremental: true, threads: 1, coarse: 1, relaxed: false, exact: true },
-    Mode { name: "incremental-t4", incremental: true, threads: 4, coarse: 1, relaxed: false, exact: true },
-    Mode { name: "relaxed-t1", incremental: true, threads: 1, coarse: 1, relaxed: true, exact: false },
-    Mode { name: "coarse2-t1", incremental: true, threads: 1, coarse: 2, relaxed: false, exact: false },
-    Mode { name: "coarse4-t1", incremental: true, threads: 1, coarse: 4, relaxed: false, exact: false },
+const MODES: [Mode; 5] = [
+    Mode { name: "full-rescan", incremental: false, coarse: 1, relaxed: false, exact: true },
+    Mode { name: "incremental-t1", incremental: true, coarse: 1, relaxed: false, exact: true },
+    Mode { name: "relaxed-t1", incremental: true, coarse: 1, relaxed: true, exact: false },
+    Mode { name: "coarse2-t1", incremental: true, coarse: 2, relaxed: false, exact: false },
+    Mode { name: "coarse4-t1", incremental: true, coarse: 4, relaxed: false, exact: false },
 ];
 
 /// FNV-1a hash of the benchmarked clips' ids and vertex coordinates,
@@ -129,7 +128,6 @@ fn main() {
         for (mi, mode) in MODES.iter().enumerate() {
             let cfg = FractureConfig {
                 incremental_refine: mode.incremental,
-                refine_threads: mode.threads,
                 coarse_factor: mode.coarse,
                 relaxed_scoring: mode.relaxed,
                 ..base.clone()
@@ -214,6 +212,8 @@ fn main() {
         "refine.candidates.scored",
         "refine.candidates.skipped",
         "refine.dirty.requeues",
+        "refine.spare_core.passes",
+        "refine.spare_core.denied",
         "fracture.refine.iterations",
         "fracture.refine.coarse_iterations",
         "fracture.refine.polish_iterations",

@@ -250,71 +250,17 @@ impl IntensityMap {
         (xs, ys)
     }
 
-    /// Recomputes the map from scratch for the given shot set.
+    /// Recomputes the map from scratch for the given shot set, one
+    /// [`add_shot`](Self::add_shot) at a time.
     ///
-    /// Used by tests and consistency checks to confirm that a sequence of
-    /// incremental updates did not drift.
+    /// Seeds refinement on the separable backend, and lets tests and
+    /// consistency checks confirm that a sequence of incremental updates
+    /// did not drift.
     pub fn rebuild<'a, I: IntoIterator<Item = &'a Rect>>(&mut self, shots: I) {
         self.values.iter_mut().for_each(|v| *v = 0.0);
         for s in shots {
             self.add_shot(s);
         }
-    }
-
-    /// Recomputes the map from scratch over disjoint row bands with up to
-    /// `threads` scoped threads.
-    ///
-    /// **Bit-identical to [`rebuild`](Self::rebuild) at any thread
-    /// count**: every row receives the same additions, from the same
-    /// per-shot edge factors, in the same shot order as the serial
-    /// add-shot loop — band boundaries only partition *which thread* owns
-    /// a row, never the arithmetic within it. Each band walks the full
-    /// shot slice and applies the rows it owns, so a shot whose window
-    /// crosses a band boundary has its factors computed once per touching
-    /// band (cheap: factors are `O(w + h)` while row application is
-    /// `O(w·h)`).
-    ///
-    /// `threads <= 1`, an empty frame, or a frame shorter than the thread
-    /// count degenerate to the serial path.
-    pub fn rebuild_rows(&mut self, shots: &[Rect], threads: usize) {
-        let height = self.frame.height();
-        let width = self.frame.width();
-        let threads = threads.max(1).min(height.max(1));
-        if threads <= 1 || self.frame.is_empty() {
-            self.rebuild(shots.iter());
-            return;
-        }
-        let rows_per_band = height.div_ceil(threads);
-        let bands = height.div_ceil(rows_per_band);
-        maskfrac_obs::counter!("ebeam.rebuild.row_bands").add(bands as u64);
-        maskfrac_obs::counter!("ebeam.kernel.convolutions").add(shots.len() as u64);
-        let mut values = std::mem::take(&mut self.values);
-        values.iter_mut().for_each(|v| *v = 0.0);
-        let this = &*self;
-        std::thread::scope(|scope| {
-            for (b, band) in values.chunks_mut(rows_per_band * width).enumerate() {
-                let y_lo = b * rows_per_band;
-                scope.spawn(move || {
-                    let y_hi = y_lo + band.len() / width;
-                    let (mut fx, mut fy) = (Vec::new(), Vec::new());
-                    for s in shots {
-                        let (xs, ys) = this.affected_window(s);
-                        let lo = ys.start.max(y_lo);
-                        let hi = ys.end.min(y_hi);
-                        if lo >= hi || xs.is_empty() {
-                            continue;
-                        }
-                        this.fill_edge_factors(s, &xs, &ys, &mut fx, &mut fy);
-                        for iy in lo..hi {
-                            let fyv = fy[iy - ys.start];
-                            let base = (iy - y_lo) * width;
-                            axpy_row(&mut band[base + xs.start..base + xs.end], &fx, fyv);
-                        }
-                    }
-                });
-            }
-        });
-        self.values = values;
     }
 
     /// Recomputes the map from scratch by whole-frame FFT synthesis
@@ -616,43 +562,6 @@ mod tests {
         }
         let zero = map();
         assert!(lattice.max_abs_diff(&zero) < 1e-12);
-    }
-
-    #[test]
-    fn row_parallel_rebuild_is_bit_identical_at_any_thread_count() {
-        let shots = vec![
-            Rect::new(0, 0, 30, 30).unwrap(),
-            Rect::new(25, 5, 65, 40).unwrap(),
-            Rect::new(-10, 20, 20, 70).unwrap(),
-            Rect::new(-40, -40, -20, 130).unwrap(), // partially off-frame
-            Rect::new(4000, 4000, 4100, 4100).unwrap(), // entirely off-frame
-        ];
-        let mut serial = map();
-        serial.rebuild(shots.iter());
-        // 3 and 7 exercise band splits that don't divide the 120-row
-        // frame evenly; 130 clamps to one band per row.
-        for threads in [1usize, 2, 3, 4, 7, 130] {
-            let mut banded = map();
-            banded.rebuild_rows(&shots, threads);
-            let (w, h) = (serial.frame().width(), serial.frame().height());
-            for iy in 0..h {
-                for ix in 0..w {
-                    assert_eq!(
-                        banded.value(ix, iy).to_bits(),
-                        serial.value(ix, iy).to_bits(),
-                        "pixel ({ix}, {iy}) at {threads} threads"
-                    );
-                }
-            }
-        }
-        // Lattice tier bands identically too.
-        let mut lat_serial = map();
-        lat_serial.enable_lattice_profiles();
-        lat_serial.rebuild(shots.iter());
-        let mut lat_banded = map();
-        lat_banded.enable_lattice_profiles();
-        lat_banded.rebuild_rows(&shots, 4);
-        assert_eq!(lat_banded.max_abs_diff(&lat_serial), 0.0);
     }
 
     #[test]

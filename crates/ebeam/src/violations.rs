@@ -225,8 +225,8 @@ pub fn cost_delta_for_strip(
         return 0.0;
     }
     // Separable edge factors: one per column/row of the window. The
-    // buffers are thread-local and grow-only — scoring runs on the
-    // refinement engine's scoped worker threads, and a per-call Vec pair
+    // buffers are thread-local and grow-only — scoring may run on the
+    // refinement engine's spare-core helper thread, and a per-call Vec pair
     // here was the last steady-state allocation on the scoring path.
     STRIP_FACTORS.with(|cell| {
         let (fx, fy) = &mut *cell.borrow_mut();

@@ -91,14 +91,6 @@ pub struct FractureConfig {
     /// Both engines produce byte-identical shot lists; the flag exists
     /// for A/B benchmarking and for the parity tests that prove it.
     pub incremental_refine: bool,
-    /// Worker threads used to score surviving refinement candidates
-    /// within one greedy pass. `0` means auto-detect
-    /// (`std::thread::available_parallelism`), clamped to
-    /// 1..=[`crate::refine::MAX_REFINE_THREADS`]. Results are
-    /// deterministic at any thread count. The default of 1 avoids
-    /// oversubscription when shapes are already fractured on parallel
-    /// layout workers.
-    pub refine_threads: usize,
     /// Largest allowed side of a target's bounding box in nm; the
     /// validation front-door ([`crate::validate::validate_target`])
     /// rejects bigger shapes, which belong to clip-level partitioning, not
@@ -159,14 +151,6 @@ pub struct FractureConfig {
     /// assert_eq!(FractureConfig::default().intensity_backend, IntensityBackend::Separable);
     /// ```
     pub intensity_backend: IntensityBackend,
-    /// Worker threads for the row-banded map seeding on the separable
-    /// backend (CLI: `--rebuild-threads`); `1` (the default) seeds
-    /// serially. Banding is bit-identical to the serial rebuild at any
-    /// thread count — each row receives the same additions in the same
-    /// shot order — so this is a pure throughput knob with no exactness
-    /// trade-off, unlike [`intensity_backend`](Self::intensity_backend).
-    /// `0` means auto-detect (`std::thread::available_parallelism`).
-    pub rebuild_threads: usize,
 }
 
 impl Default for FractureConfig {
@@ -186,12 +170,10 @@ impl Default for FractureConfig {
             reduction_sweep: true,
             deadline: None,
             incremental_refine: true,
-            refine_threads: 1,
             max_extent: 4096,
             coarse_factor: 1,
             relaxed_scoring: false,
             intensity_backend: IntensityBackend::Separable,
-            rebuild_threads: 1,
         }
     }
 }
@@ -293,7 +275,6 @@ mod tests {
     fn refine_engine_defaults() {
         let c = FractureConfig::default();
         assert!(c.incremental_refine, "incremental engine is the default");
-        assert_eq!(c.refine_threads, 1, "serial scoring by default");
     }
 
     #[test]

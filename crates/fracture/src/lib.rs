@@ -50,6 +50,7 @@ pub mod refine;
 pub mod retry;
 pub mod report;
 pub mod scratch;
+mod spare_core;
 pub mod validate;
 
 pub use approx::{approximate_fracture, approximate_fracture_region, ApproxFracture};
@@ -59,10 +60,7 @@ pub use dose::{polish_doses, try_polish_doses, DoseOptions, DoseOutcome, DosedSh
 pub use error::{FractureError, FractureStatus, Stage, TargetDefect};
 pub use faults::{Fault, FaultPlan, FaultScope};
 pub use pipeline::{FractureResult, ModelBasedFracturer};
-pub use refine::{
-    reduce_shots, refine, resolve_refine_threads, IterationRecord, RefineOutcome,
-    MAX_REFINE_THREADS,
-};
+pub use refine::{reduce_shots, refine, IterationRecord, RefineOutcome};
 pub use report::{verify_shots, FractureReport};
 pub use retry::RetryPolicy;
 pub use scratch::FractureScratch;

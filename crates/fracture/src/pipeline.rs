@@ -279,6 +279,7 @@ impl ModelBasedFracturer {
         scratch: &mut FractureScratch,
     ) -> (FractureResult, ApproxFracture, RefineOutcome) {
         let _shape_span = maskfrac_obs::span("fracture.shape");
+        let _busy = crate::spare_core::Busy::enter();
         let start = Instant::now();
         let margin = self.model.support_radius_px() + 2;
         let cls = {

@@ -25,10 +25,10 @@
 //! Refinement runs on one of two scoring tiers (see `maskfrac_ebeam`'s
 //! `intensity` module for the full tier table):
 //!
-//! * **Exact (default)** — interpolated-LUT edge profiles and the serial
-//!   chunked scorer. Runs are byte-identical across thread counts and
-//!   across the incremental/full-rescan engines; this is the tier every
-//!   parity gate pins.
+//! * **Exact (default)** — interpolated-LUT edge profiles and the
+//!   chunked scorer. Runs are byte-identical whether a pass scores on a
+//!   spare core or serially, and across the incremental/full-rescan
+//!   engines; this is the tier every parity gate pins.
 //! * **Relaxed** ([`FractureConfig::relaxed_scoring`]) — integer-lattice
 //!   edge profiles and the multi-accumulator scorer
 //!   (`cost_delta_for_strip_relaxed`). Still deterministic for fixed
@@ -47,56 +47,26 @@
 
 use crate::config::FractureConfig;
 use crate::scratch::FractureScratch;
+use crate::spare_core::{self, Busy};
 use maskfrac_ebeam::violations::{
     cost_delta_for_strip, cost_delta_for_strip_relaxed, evaluate, fail_bitmaps, ViolationTracker,
 };
 use maskfrac_ebeam::{Classification, ExposureModel, FailureSummary, IntensityMap};
 use maskfrac_geom::rect::Edge;
 use maskfrac_geom::{label_components, Rect};
-
-/// Upper bound on candidate-scoring worker threads; see
-/// [`FractureConfig::refine_threads`].
-pub const MAX_REFINE_THREADS: usize = 64;
-
-/// Resolves [`FractureConfig::refine_threads`]: `0` auto-detects from
-/// `std::thread::available_parallelism`, and the result is clamped to
-/// `1..=`[`MAX_REFINE_THREADS`].
-pub fn resolve_refine_threads(cfg: &FractureConfig) -> usize {
-    let requested = if cfg.refine_threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        cfg.refine_threads
-    };
-    requested.clamp(1, MAX_REFINE_THREADS)
-}
-
-/// Resolves [`FractureConfig::rebuild_threads`] with the same `0` =
-/// auto-detect convention and `1..=`[`MAX_REFINE_THREADS`] clamp as
-/// [`resolve_refine_threads`].
-pub fn resolve_rebuild_threads(cfg: &FractureConfig) -> usize {
-    let requested = if cfg.rebuild_threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        cfg.rebuild_threads
-    };
-    requested.clamp(1, MAX_REFINE_THREADS)
-}
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Seeds the intensity map with the initial shot list through the
 /// configured [`FractureConfig::intensity_backend`].
 ///
-/// The separable backend goes through
-/// [`IntensityMap::rebuild_rows`] — bit-identical to the serial
-/// add-shot loop at any [`FractureConfig::rebuild_threads`] — while the
-/// FFT backend synthesizes the whole frame in one convolution and
-/// carries the relaxed exactness contract (see
-/// [`crate::IntensityBackend`]).
+/// The separable backend adds the shots one at a time
+/// ([`IntensityMap::rebuild`]), while the FFT backend synthesizes the
+/// whole frame in one convolution and carries the relaxed exactness
+/// contract (see [`crate::IntensityBackend`]).
 fn seed_map(map: &mut IntensityMap, shots: &[Rect], cfg: &FractureConfig) {
     match cfg.intensity_backend {
         crate::IntensityBackend::Fft => map.rebuild_fft(shots),
-        crate::IntensityBackend::Separable => {
-            map.rebuild_rows(shots, resolve_rebuild_threads(cfg));
-        }
+        crate::IntensityBackend::Separable => map.rebuild(shots),
     }
 }
 
@@ -344,6 +314,7 @@ fn refine_core(
     scratch: &mut FractureScratch,
 ) -> RefineOutcome {
     let _span = maskfrac_obs::span("fracture.refine");
+    let _busy = Busy::enter();
     let mut shots = initial;
     let mut map = IntensityMap::with_values(
         model.clone(),
@@ -493,6 +464,7 @@ pub fn polish_edges(
     initial: Vec<Rect>,
     max_iterations: usize,
 ) -> RefineOutcome {
+    let _busy = Busy::enter();
     let mut shots = initial;
     let mut map = IntensityMap::new(model.clone(), cls.frame());
     if cfg.relaxed_scoring {
@@ -759,45 +731,6 @@ fn edge_rank(edge: Edge) -> u8 {
     }
 }
 
-/// Scores the eight ±`stride` edge moves of one shot against the current
-/// map, returning the improving ones plus the number of strips scored.
-fn score_shot(
-    cls: &Classification,
-    map: &IntensityMap,
-    shot: &Rect,
-    cfg: &FractureConfig,
-    stride: i64,
-) -> (Vec<ScoredMove>, u64) {
-    let mut moves = Vec::new();
-    let mut scored = 0u64;
-    for edge in Edge::ALL {
-        for delta in [-stride, stride] {
-            let new_pos = shot.edge(edge) + delta;
-            let Some(moved) = shot.with_edge(edge, new_pos) else {
-                continue;
-            };
-            if moved.width() < cfg.min_shot_size || moved.height() < cfg.min_shot_size {
-                continue;
-            }
-            let Some((strip, sign)) = strip_for(shot, edge, delta) else {
-                continue;
-            };
-            scored += 1;
-            let dc = strip_delta(cls, map, &strip, sign, cfg);
-            if dc < -1e-9 {
-                moves.push(ScoredMove {
-                    delta_cost: dc,
-                    edge,
-                    delta,
-                    strip,
-                    sign,
-                });
-            }
-        }
-    }
-    (moves, scored)
-}
-
 /// Cached candidate moves of one shot, one slot per stride (±1, ±2 nm).
 #[derive(Debug, Default, Clone)]
 struct ShotCache {
@@ -806,6 +739,11 @@ struct ShotCache {
 }
 
 impl ShotCache {
+    /// The slot of a stride: ±1 nm moves in slot 0, ±2 nm in slot 1.
+    fn slot(stride: i64) -> usize {
+        usize::from(stride > 1)
+    }
+
     fn invalidate(&mut self) {
         self.valid = [false, false];
     }
@@ -824,28 +762,27 @@ impl ShotCache {
 pub(crate) struct EngineScratch {
     cache: Vec<ShotCache>,
     todo: Vec<usize>,
+    strips: Vec<(usize, ScoredMove)>,
+    scores: Vec<AtomicU64>,
     candidates: Vec<(usize, usize)>,
 }
 
 /// Incremental greedy shot-edge adjustment (paper §4.1) with a
-/// dirty-window candidate cache and parallel scoring.
+/// dirty-window candidate cache and strip-parallel scoring.
 ///
 /// A candidate's score reads only map values inside its strip's support
 /// window, and an accepted move changes only map values inside *its*
 /// strip's support window — so a cached score stays exact until a move
 /// lands within two support radii of the cached shot. The engine keeps
 /// every shot's improving moves between passes, re-scores only shots in
-/// that dirty neighborhood (in parallel when
-/// [`FractureConfig::refine_threads`] allows), and accepts best-first
-/// under the paper's 2σ blocking rule. Acceptance order is made explicit
-/// — stable by `(delta_cost, shot_index, edge, delta)` — so serial,
-/// parallel, and full-rescan runs produce byte-identical shot lists.
+/// that dirty neighborhood (on a second core when the spare-core gate
+/// grants one, see [`crate::spare_core`]), and accepts best-first under
+/// the paper's 2σ blocking rule. Acceptance order is made explicit —
+/// stable by `(delta_cost, shot_index, edge, delta)` — so serial,
+/// two-thread, and full-rescan runs produce byte-identical shot lists.
 struct GreedyEngine {
-    cache: Vec<ShotCache>,
-    todo: Vec<usize>,
-    candidates: Vec<(usize, usize)>,
+    scratch: EngineScratch,
     incremental: bool,
-    threads: usize,
 }
 
 impl GreedyEngine {
@@ -858,11 +795,8 @@ impl GreedyEngine {
     /// the allocations are reused.
     fn from_scratch(cfg: &FractureConfig, shot_count: usize, scratch: EngineScratch) -> Self {
         let mut engine = GreedyEngine {
-            cache: scratch.cache,
-            todo: scratch.todo,
-            candidates: scratch.candidates,
+            scratch,
             incremental: cfg.incremental_refine,
-            threads: resolve_refine_threads(cfg),
         };
         engine.reset(shot_count);
         engine
@@ -870,11 +804,7 @@ impl GreedyEngine {
 
     /// Tears the engine down to its reusable spine (see [`EngineScratch`]).
     fn into_scratch(self) -> EngineScratch {
-        EngineScratch {
-            cache: self.cache,
-            todo: self.todo,
-            candidates: self.candidates,
-        }
+        self.scratch
     }
 
     /// Drops every cached score and resizes to `shot_count` entries —
@@ -885,20 +815,21 @@ impl GreedyEngine {
     /// `Vec<ScoredMove>` allocations survive: `moves` is cleared, not
     /// dropped, and the spine only grows.
     fn reset(&mut self, shot_count: usize) {
-        if self.cache.len() > shot_count {
-            self.cache.truncate(shot_count);
+        let cache = &mut self.scratch.cache;
+        if cache.len() > shot_count {
+            cache.truncate(shot_count);
         }
-        for entry in &mut self.cache {
+        for entry in cache.iter_mut() {
             entry.invalidate();
             entry.moves[0].clear();
             entry.moves[1].clear();
         }
-        self.cache.resize_with(shot_count, ShotCache::default);
+        cache.resize_with(shot_count, ShotCache::default);
     }
 
     /// Marks every cached score stale (e.g. after a whole-solution bias).
     fn invalidate_all(&mut self) {
-        for entry in &mut self.cache {
+        for entry in &mut self.scratch.cache {
             entry.invalidate();
         }
     }
@@ -915,81 +846,36 @@ impl GreedyEngine {
         cfg: &FractureConfig,
         stride: i64,
     ) -> bool {
-        let sidx = if stride <= 1 { 0 } else { 1 };
+        let sidx = ShotCache::slot(stride);
         if !self.incremental {
             self.invalidate_all();
         }
-        if self.cache.len() != shots.len() {
+        if self.scratch.cache.len() != shots.len() {
             self.reset(shots.len());
         }
 
-        // Re-score stale shots only; a shot outside every dirty window
-        // has bit-identical map values under its candidate strips, so
-        // its cached improving moves are still exact.
-        let mut todo = std::mem::take(&mut self.todo);
-        todo.clear();
-        todo.extend((0..shots.len()).filter(|&i| !self.cache[i].valid[sidx]));
-        maskfrac_obs::counter!("refine.candidates.skipped")
-            .add(((shots.len() - todo.len()) * Edge::ALL.len() * 2) as u64);
-        let frozen: &[Rect] = shots;
-        let map_ref: &IntensityMap = map;
-        let workers = self.threads.min(todo.len());
-        let mut scored_strips = 0u64;
-        if workers > 1 {
-            let chunk = todo.len().div_ceil(workers);
-            let results: Vec<Vec<(usize, Vec<ScoredMove>, u64)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = todo
-                    .chunks(chunk)
-                    .map(|indices| {
-                        scope.spawn(move || {
-                            indices
-                                .iter()
-                                .map(|&i| {
-                                    let (moves, n) =
-                                        score_shot(cls, map_ref, &frozen[i], cfg, stride);
-                                    (i, moves, n)
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(rows) => rows,
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    })
-                    .collect()
-            });
-            for rows in results {
-                for (i, moves, n) in rows {
-                    scored_strips += n;
-                    self.cache[i].moves[sidx] = moves;
-                    self.cache[i].valid[sidx] = true;
-                }
-            }
-        } else {
-            for &i in &todo {
-                let (moves, n) = score_shot(cls, map_ref, &frozen[i], cfg, stride);
-                scored_strips += n;
-                self.cache[i].moves[sidx] = moves;
-                self.cache[i].valid[sidx] = true;
-            }
-        }
-        maskfrac_obs::counter!("refine.candidates.scored").add(scored_strips);
-        self.todo = todo;
+        self.list_strips(shots, cfg, stride);
+        // A helper pays only when there are at least two strips to share;
+        // the token is returned as soon as scoring ends.
+        let spare = (self.scratch.strips.len() >= 2)
+            .then(spare_core::take_spare)
+            .flatten();
+        self.score_strips(cls, map, cfg, spare.is_some());
+        drop(spare);
+        self.cache_scores(sidx);
 
         // Deterministic acceptance order over all cached improving moves.
-        let mut candidates = std::mem::take(&mut self.candidates);
+        let cache = &self.scratch.cache;
+        let mut candidates = std::mem::take(&mut self.scratch.candidates);
         candidates.clear();
-        for (i, entry) in self.cache.iter().enumerate() {
+        for (i, entry) in cache.iter().enumerate() {
             for k in 0..entry.moves[sidx].len() {
                 candidates.push((i, k));
             }
         }
         candidates.sort_by(|&(ia, ka), &(ib, kb)| {
-            let a = &self.cache[ia].moves[sidx][ka];
-            let b = &self.cache[ib].moves[sidx][kb];
+            let a = &cache[ia].moves[sidx][ka];
+            let b = &cache[ib].moves[sidx][kb];
             a.delta_cost
                 .total_cmp(&b.delta_cost)
                 .then(ia.cmp(&ib))
@@ -1013,7 +899,7 @@ impl GreedyEngine {
             if mutated.contains(&i) {
                 continue;
             }
-            let m = self.cache[i].moves[sidx][k];
+            let m = cache[i].moves[sidx][k];
             if accepted.iter().any(|r| rect_distance(r, &m.strip) < blocking) {
                 continue;
             }
@@ -1026,7 +912,7 @@ impl GreedyEngine {
             accepted.push(m.strip);
             mutated.push(i);
         }
-        self.candidates = candidates;
+        self.scratch.candidates = candidates;
 
         // Dirty-window invalidation: a move changes intensities within
         // its strip's support window; a cached score reads within its
@@ -1035,16 +921,124 @@ impl GreedyEngine {
         // cache, which is what makes the pass incremental.
         if self.incremental && !accepted.is_empty() {
             let radius = 2.0 * map.model().support_radius() + 8.0;
-            for (i, shot) in shots.iter().enumerate() {
-                if self.cache[i].any_valid()
-                    && accepted.iter().any(|r| rect_distance(r, shot) <= radius)
-                {
+            for (entry, shot) in self.scratch.cache.iter_mut().zip(shots.iter()) {
+                if entry.any_valid() && accepted.iter().any(|r| rect_distance(r, shot) <= radius) {
                     maskfrac_obs::counter!("refine.dirty.requeues").incr();
-                    self.cache[i].invalidate();
+                    entry.invalidate();
                 }
             }
         }
         !accepted.is_empty()
+    }
+
+    /// Lists the candidate strips of every stale shot at `stride`: for
+    /// each shot, each edge in [`Edge::ALL`] order, `-stride` then
+    /// `+stride`, skipping moves below the minimum shot size. A shot
+    /// outside every dirty window has bit-identical map values under its
+    /// candidate strips, so its cached improving moves are still exact
+    /// and it is not listed.
+    fn list_strips(&mut self, shots: &[Rect], cfg: &FractureConfig, stride: i64) {
+        let sidx = ShotCache::slot(stride);
+        let EngineScratch {
+            cache,
+            todo,
+            strips,
+            ..
+        } = &mut self.scratch;
+        todo.clear();
+        todo.extend((0..shots.len()).filter(|&i| !cache[i].valid[sidx]));
+        maskfrac_obs::counter!("refine.candidates.skipped")
+            .add(((shots.len() - todo.len()) * Edge::ALL.len() * 2) as u64);
+        strips.clear();
+        for &i in todo.iter() {
+            let shot = &shots[i];
+            for edge in Edge::ALL {
+                for delta in [-stride, stride] {
+                    let Some(moved) = shot.with_edge(edge, shot.edge(edge) + delta) else {
+                        continue;
+                    };
+                    if moved.width() < cfg.min_shot_size || moved.height() < cfg.min_shot_size {
+                        continue;
+                    }
+                    let Some((strip, sign)) = strip_for(shot, edge, delta) else {
+                        continue;
+                    };
+                    let unscored = ScoredMove {
+                        delta_cost: 0.0,
+                        edge,
+                        delta,
+                        strip,
+                        sign,
+                    };
+                    strips.push((i, unscored));
+                }
+            }
+        }
+        maskfrac_obs::counter!("refine.candidates.scored").add(strips.len() as u64);
+    }
+
+    /// Scores every listed strip against the frozen map. Both threads
+    /// (the caller, plus one scoped helper when `helper` is set) claim
+    /// strips from one atomic counter and store each score in the
+    /// strip's own slot, so the scores do not depend on which thread
+    /// computed them.
+    fn score_strips(
+        &mut self,
+        cls: &Classification,
+        map: &IntensityMap,
+        cfg: &FractureConfig,
+        helper: bool,
+    ) {
+        let EngineScratch { strips, scores, .. } = &mut self.scratch;
+        if scores.len() < strips.len() {
+            scores.resize_with(strips.len(), AtomicU64::default);
+        }
+        let (strips, scores) = (&strips[..], &scores[..strips.len()]);
+        // `Relaxed` suffices for both atomics: the counter only hands out
+        // indices, and the scope's join orders every score store before
+        // `cache_scores` reads it.
+        let next = AtomicUsize::new(0);
+        let work = || loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            let Some((_, m)) = strips.get(k) else {
+                break;
+            };
+            let score = strip_delta(cls, map, &m.strip, m.sign, cfg);
+            scores[k].store(score.to_bits(), Ordering::Relaxed);
+        };
+        if helper {
+            std::thread::scope(|scope| {
+                let helper = scope.spawn(work);
+                work();
+                if let Err(panic) = helper.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            });
+        } else {
+            work();
+        }
+    }
+
+    /// Rebuilds each listed shot's improving moves at `sidx` from the
+    /// scores, in list order (the order the moves were generated in).
+    fn cache_scores(&mut self, sidx: usize) {
+        let EngineScratch {
+            cache,
+            todo,
+            strips,
+            scores,
+            ..
+        } = &mut self.scratch;
+        for &i in todo.iter() {
+            cache[i].moves[sidx].clear();
+            cache[i].valid[sidx] = true;
+        }
+        for (&(i, mut m), score) in strips.iter().zip(scores.iter()) {
+            m.delta_cost = f64::from_bits(score.load(Ordering::Relaxed));
+            if m.delta_cost < -1e-9 {
+                cache[i].moves[sidx].push(m);
+            }
+        }
     }
 }
 
@@ -1524,31 +1518,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_threads_never_changes_the_outcome() {
-        // The banded seeding rebuild is bit-identical to the serial one,
-        // so the whole refinement trajectory — every greedy decision —
-        // must be too, at any thread count.
-        let target = square(45);
-        let (cls, model, cfg) = setup(&target);
-        let seed = vec![Rect::new(2, 2, 40, 40).unwrap()];
-        let baseline = refine(&cls, &model, &cfg, seed.clone());
-        for threads in [0usize, 2, 4] {
-            let banded_cfg = FractureConfig {
-                rebuild_threads: threads,
-                ..cfg.clone()
-            };
-            let out = refine(&cls, &model, &banded_cfg, seed.clone());
-            assert_eq!(out.shots, baseline.shots, "at {threads} rebuild threads");
-            assert_eq!(out.iterations, baseline.iterations);
-            assert_eq!(
-                out.summary.cost.to_bits(),
-                baseline.summary.cost.to_bits(),
-                "cost must be bit-identical at {threads} rebuild threads"
-            );
-        }
-    }
-
-    #[test]
     fn fft_backend_is_deterministic_and_never_worse() {
         let target = square(45);
         let (cls, model, cfg) = setup(&target);
@@ -1584,20 +1553,6 @@ mod tests {
         let out = refine(&cls, &model, &fft_cfg, vec![Rect::new(0, 0, 50, 50).unwrap()]);
         assert!(out.summary.is_feasible());
         assert_eq!(out.shots.len(), 1);
-    }
-
-    #[test]
-    fn resolve_refine_threads_clamps() {
-        let mut cfg = FractureConfig {
-            refine_threads: 1,
-            ..FractureConfig::default()
-        };
-        assert_eq!(resolve_refine_threads(&cfg), 1);
-        cfg.refine_threads = 0; // auto-detect
-        let auto = resolve_refine_threads(&cfg);
-        assert!((1..=MAX_REFINE_THREADS).contains(&auto));
-        cfg.refine_threads = 100_000;
-        assert_eq!(resolve_refine_threads(&cfg), MAX_REFINE_THREADS);
     }
 
     /// Regression test for the stale-candidate desync: a wide shot offset
@@ -1670,8 +1625,8 @@ mod tests {
         assert!((tracker.summary().cost - full.cost).abs() < 1e-9);
     }
 
-    /// The incremental engine (at 1 and at 4 threads) must produce exactly
-    /// the shot list of the full-rescan reference path.
+    /// The incremental engine must produce exactly the shot list of the
+    /// full-rescan reference path.
     #[test]
     fn incremental_and_full_rescan_paths_are_byte_identical() {
         let target = Polygon::new(vec![
@@ -1688,31 +1643,25 @@ mod tests {
             Rect::new(3, -3, 81, 25).unwrap(),
             Rect::new(-2, 2, 26, 80).unwrap(),
         ];
-        let run = |incremental: bool, threads: usize| {
+        let run = |incremental: bool| {
             let cfg = FractureConfig {
                 incremental_refine: incremental,
-                refine_threads: threads,
                 ..base.clone()
             };
             refine(&cls, &model, &cfg, initial.clone())
         };
-        let reference = run(false, 1);
-        for (incremental, threads) in [(true, 1), (true, 4)] {
-            let out = run(incremental, threads);
-            assert_eq!(
-                out.shots, reference.shots,
-                "shot lists diverged at incremental={incremental} threads={threads}"
-            );
-            assert_eq!(out.iterations, reference.iterations);
-            assert_eq!(out.summary.on_fails, reference.summary.on_fails);
-            assert_eq!(out.summary.off_fails, reference.summary.off_fails);
-        }
+        let reference = run(false);
+        let out = run(true);
+        assert_eq!(out.shots, reference.shots, "shot lists diverged");
+        assert_eq!(out.iterations, reference.iterations);
+        assert_eq!(out.summary.on_fails, reference.summary.on_fails);
+        assert_eq!(out.summary.off_fails, reference.summary.off_fails);
     }
 
     /// With `coarse_factor = 1` (the default) the dispatcher must be the
-    /// legacy path, byte for byte, at 1 and at 4 scoring threads — this is
-    /// the parity contract that lets every committed shot-count baseline
-    /// survive the coarse-to-fine rewrite.
+    /// legacy path, byte for byte — this is the parity contract that lets
+    /// every committed shot-count baseline survive the coarse-to-fine
+    /// rewrite.
     #[test]
     fn coarse_factor_one_is_byte_identical_to_legacy_refinement() {
         let target = Polygon::new(vec![
@@ -1724,38 +1673,22 @@ mod tests {
             Point::new(0, 80),
         ])
         .unwrap();
-        let (cls, model, base) = setup(&target);
+        let (cls, model, cfg) = setup(&target);
         let initial = vec![
             Rect::new(3, -3, 81, 25).unwrap(),
             Rect::new(-2, 2, 26, 80).unwrap(),
         ];
-        for threads in [1usize, 4] {
-            let cfg = FractureConfig {
-                refine_threads: threads,
-                ..base.clone()
-            };
-            // The dispatcher entry (coarse_factor = 1, the default).
-            let dispatched = refine(&cls, &model, &cfg, initial.clone());
-            // The legacy body, called directly.
-            let legacy = refine_core(
-                &cls,
-                &model,
-                &cfg,
-                initial.clone(),
-                None,
-                &mut FractureScratch::new(),
-            );
-            assert_eq!(
-                dispatched.shots, legacy.shots,
-                "shot lists diverged at {threads} threads"
-            );
-            assert_eq!(dispatched.iterations, legacy.iterations);
-            assert_eq!(
-                dispatched.summary.cost.to_bits(),
-                legacy.summary.cost.to_bits(),
-                "cost diverged at {threads} threads"
-            );
-        }
+        // The dispatcher entry (coarse_factor = 1, the default).
+        let dispatched = refine(&cls, &model, &cfg, initial.clone());
+        // The legacy body, called directly.
+        let legacy = refine_core(&cls, &model, &cfg, initial, None, &mut FractureScratch::new());
+        assert_eq!(dispatched.shots, legacy.shots, "shot lists diverged");
+        assert_eq!(dispatched.iterations, legacy.iterations);
+        assert_eq!(
+            dispatched.summary.cost.to_bits(),
+            legacy.summary.cost.to_bits(),
+            "cost diverged"
+        );
     }
 
     /// Relaxed scoring is a different tier (no byte-parity promise), but
@@ -1775,34 +1708,28 @@ mod tests {
 
     /// Coarse-to-fine end-to-end: every supported factor repairs the same
     /// offset shot to feasibility, and determinism holds across repeats
-    /// and thread counts (the relaxed tier is deterministic, just not
-    /// bit-identical to the exact tier).
+    /// (the relaxed tier is deterministic, just not bit-identical to the
+    /// exact tier).
     #[test]
     fn coarse_to_fine_converges_and_is_deterministic() {
         let target = square(50);
         let (cls, model, base) = setup(&target);
         for factor in [2usize, 3, 4] {
-            let run = |threads: usize| {
+            let run = || {
                 let cfg = FractureConfig {
                     coarse_factor: factor,
-                    refine_threads: threads,
                     ..base.clone()
                 };
                 refine(&cls, &model, &cfg, vec![Rect::new(4, -4, 54, 46).unwrap()])
             };
-            let out = run(1);
+            let out = run();
             assert!(
                 out.summary.is_feasible(),
                 "factor {factor}: {:?}",
                 out.summary
             );
-            let again = run(1);
+            let again = run();
             assert_eq!(out.shots, again.shots, "factor {factor}: nondeterministic");
-            let threaded = run(4);
-            assert_eq!(
-                out.shots, threaded.shots,
-                "factor {factor}: thread count changed the result"
-            );
         }
     }
 
@@ -1892,6 +1819,60 @@ mod tests {
             if !moved {
                 break;
             }
+        }
+    }
+
+    /// One pass's strip list scored with the helper thread forced on and
+    /// forced off: every cached move, score bits included, is identical.
+    #[test]
+    fn helper_thread_scores_are_bit_identical_to_serial_scores() {
+        let target = Polygon::new(vec![
+            Point::new(0, 0),
+            Point::new(80, 0),
+            Point::new(80, 30),
+            Point::new(30, 30),
+            Point::new(30, 80),
+            Point::new(0, 80),
+        ])
+        .unwrap();
+        let (cls, model, cfg) = setup(&target);
+        let shots = vec![
+            Rect::new(3, -3, 81, 25).unwrap(),
+            Rect::new(-2, 2, 26, 80).unwrap(),
+            Rect::new(20, 20, 40, 40).unwrap(),
+        ];
+        let mut map = IntensityMap::new(model, cls.frame());
+        map.rebuild(&shots);
+        for stride in [1, 2] {
+            let cached = |helper: bool| {
+                let mut engine = GreedyEngine::new(&cfg, shots.len());
+                engine.list_strips(&shots, &cfg, stride);
+                assert!(engine.scratch.strips.len() >= 2);
+                engine.score_strips(&cls, &map, &cfg, helper);
+                engine.cache_scores(ShotCache::slot(stride));
+                let key =
+                    |m: &ScoredMove| (m.delta_cost.to_bits(), edge_rank(m.edge), m.delta, m.strip);
+                engine
+                    .scratch
+                    .cache
+                    .iter()
+                    .map(|entry| {
+                        let moves = entry
+                            .moves
+                            .each_ref()
+                            .map(|ms| ms.iter().map(key).collect());
+                        (entry.valid, moves)
+                    })
+                    .collect::<Vec<(_, [Vec<_>; 2])>>()
+            };
+            let serial = cached(false);
+            assert!(
+                serial
+                    .iter()
+                    .any(|(_, moves)| moves.iter().any(|m| !m.is_empty())),
+                "the offset shots must have improving moves to compare"
+            );
+            assert_eq!(cached(true), serial, "stride {stride}");
         }
     }
 }

@@ -237,10 +237,9 @@ pub fn geometry_fingerprint(key: &[u8]) -> u64 {
 /// Fingerprint identifying a (layout, config) run for the journal
 /// header. Covers the layout content (shape names, vertices,
 /// placements) and every *result-affecting* configuration field.
-/// `refine_threads` and `incremental_refine` are deliberately excluded:
-/// both are proven result-invariant (parity tests in
-/// `crates/fracture`), so a resume may change them — e.g. resume a
-/// 1-thread run with 4 threads — without invalidating the journal.
+/// `incremental_refine` is deliberately excluded: it is proven
+/// result-invariant (parity tests in `crates/fracture`), so a resume may
+/// change it without invalidating the journal.
 pub fn run_fingerprint(layout: &Layout, config: &FractureConfig) -> u64 {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(layout.name.as_bytes());
@@ -278,9 +277,8 @@ pub fn run_fingerprint(layout: &Layout, config: &FractureConfig) -> u64 {
 /// is valid for exactly one (canonical geometry, config) pair.
 ///
 /// Hashes the same config byte stream as [`run_fingerprint`], with the
-/// same `refine_threads` / `rebuild_threads` / `incremental_refine`
-/// exclusions (all three only repartition work across threads over
-/// bit-identical arithmetic).
+/// same `incremental_refine` exclusion (it only changes which cached
+/// scores are reused, over bit-identical arithmetic).
 pub fn config_fingerprint(config: &FractureConfig) -> u64 {
     let mut bytes = Vec::new();
     push_config_bytes(&mut bytes, config);
@@ -660,10 +658,9 @@ mod tests {
         assert_eq!(base, run_fingerprint(&layout, &config), "deterministic");
 
         // Result-invariant knobs do not move the fingerprint...
-        let mut threads = config.clone();
-        threads.refine_threads = 8;
-        threads.incremental_refine = false;
-        assert_eq!(base, run_fingerprint(&layout, &threads));
+        let mut full_rescan = config.clone();
+        full_rescan.incremental_refine = false;
+        assert_eq!(base, run_fingerprint(&layout, &full_rescan));
 
         // ...result-affecting knobs and layout edits do.
         let mut gamma = config.clone();

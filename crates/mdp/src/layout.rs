@@ -393,16 +393,6 @@ pub struct LayoutOptions {
     /// them instead of re-fracturing (`disk` cache label,
     /// `mdp.geomcache.*` counters).
     pub geom_cache: Option<PathBuf>,
-    /// Overrides [`FractureConfig::rebuild_threads`] for every cell the
-    /// driver fractures: worker threads for the row-banded intensity-map
-    /// seeding at the start of each refinement run (CLI:
-    /// `--rebuild-threads`). `None` (the default) respects the config;
-    /// `Some(0)` auto-detects. Banded seeding is bit-identical to the
-    /// serial rebuild at any thread count, so this never splits journal
-    /// or geometry-cache fingerprints — but it multiplies with
-    /// [`threads`](Self::threads), so large values oversubscribe when
-    /// many layout workers are already running.
-    pub rebuild_threads: Option<usize>,
 }
 
 impl Default for LayoutOptions {
@@ -414,7 +404,6 @@ impl Default for LayoutOptions {
             hung_shape_multiple: 4,
             watchdog_min_samples: 8,
             geom_cache: None,
-            rebuild_threads: None,
         }
     }
 }
@@ -618,21 +607,6 @@ fn drive_layout(
 ) -> LayoutFractureReport {
     let _span = maskfrac_obs::span("mdp.fracture_layout");
     let threads = options.threads.clamp(1, MAX_LAYOUT_THREADS);
-    // Per-cell seeding override. `rebuild_threads` is excluded from the
-    // config fingerprint (banding is bit-identical), so applying it here
-    // — after the caller computed journal fingerprints from the original
-    // config — cannot desynchronize replay or the geometry cache.
-    let seeding_config;
-    let config = match options.rebuild_threads {
-        Some(n) => {
-            seeding_config = FractureConfig {
-                rebuild_threads: n,
-                ..config.clone()
-            };
-            &seeding_config
-        }
-        None => config,
-    };
     let counts = layout.placement_counts();
     // Canonicalize up front: every cache tier — in-flight, journal, and
     // persistent — keys on the canonical form, so mirrored/rotated

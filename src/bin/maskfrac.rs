@@ -1,10 +1,10 @@
 //! `maskfrac` — command-line mask fracturing.
 //!
 //! ```text
-//! maskfrac fracture <shape.json> [--method NAME] [--svg OUT.svg] [--out SHOTS.json] [--deadline-ms MS] [--refine-threads N] [--coarse-factor K] [--relaxed-scoring]
-//!                   [--intensity-backend separable|fft] [--rebuild-threads N] [OBS FLAGS]
-//! maskfrac fracture-layout <layout.txt> [--threads N] [--refine-threads N] [--coarse-factor K] [--relaxed-scoring] [--deadline-ms MS]
-//!                          [--intensity-backend separable|fft] [--rebuild-threads N]
+//! maskfrac fracture <shape.json> [--method NAME] [--svg OUT.svg] [--out SHOTS.json] [--deadline-ms MS] [--coarse-factor K] [--relaxed-scoring]
+//!                   [--intensity-backend separable|fft] [OBS FLAGS]
+//! maskfrac fracture-layout <layout.txt> [--threads N] [--coarse-factor K] [--relaxed-scoring] [--deadline-ms MS]
+//!                          [--intensity-backend separable|fft]
 //!                          [--checkpoint J.mfj] [--resume] [--retries N] [--hung-multiple N] [--watchdog-min-samples N]
 //!                          [--geom-cache DIR] [--fault-seed N] [--fault-rate R] [--fault-crash-rate R] [OBS FLAGS]
 //! maskfrac generate-ilt <out.json> [--seed N] [--radius NM]
@@ -21,9 +21,9 @@
 //! message and a non-zero exit instead of a panic; `--deadline-ms`
 //! bounds the refinement wall clock (best-so-far results are tagged
 //! `degraded`). `--threads` defaults to the machine's available
-//! parallelism (capped by the layout worker limit); `--refine-threads`
-//! sets the candidate-scoring workers inside one shape's refinement
-//! (`0` = auto, default 1 — results are identical at any setting).
+//! parallelism (capped by the layout worker limit). A greedy pass inside
+//! one shape's refinement scores its candidates on a second core
+//! whenever one is idle; results are identical either way.
 //! `--coarse-factor K` (1–4, default 1) enables coarse-to-fine
 //! refinement: converge on a `K`-nm lattice first, then polish at
 //! Δp = 1 nm. `K = 1` is the bit-exact legacy path; `K > 1` trades the
@@ -35,9 +35,7 @@
 //! the shot count, also not byte-identical, same quality guarantee. All
 //! three fast tiers fall back to the exact path when they end
 //! infeasible, so they never deliver a worse solution than the defaults
-//! (see `docs/performance.md`). `--rebuild-threads N` row-bands the
-//! separable seeding rebuild over `N` threads (`0` = auto, default 1) —
-//! bit-identical at any setting, a pure throughput knob.
+//! (see `docs/performance.md`).
 //!
 //! Both fracture subcommands share the observability flags (none of which
 //! changes the shot output — see `docs/observability.md`):
@@ -257,8 +255,8 @@ where
 }
 
 /// Builds the fracture configuration shared by the fracture subcommands,
-/// honouring `--deadline-ms`, `--refine-threads`, `--coarse-factor`,
-/// `--relaxed-scoring`, `--intensity-backend` and `--rebuild-threads`.
+/// honouring `--deadline-ms`, `--coarse-factor`, `--relaxed-scoring` and
+/// `--intensity-backend`.
 fn config_from_flags(args: &[String]) -> Result<FractureConfig, Box<dyn std::error::Error>> {
     let mut cfg = FractureConfig::default();
     if let Some(ms) = parsed_flag::<u64>(args, "--deadline-ms")? {
@@ -266,16 +264,6 @@ fn config_from_flags(args: &[String]) -> Result<FractureConfig, Box<dyn std::err
             return Err("--deadline-ms must be positive".into());
         }
         cfg.deadline = Some(std::time::Duration::from_millis(ms));
-    }
-    if let Some(n) = parsed_flag::<usize>(args, "--refine-threads")? {
-        if n > maskfrac::fracture::refine::MAX_REFINE_THREADS {
-            return Err(format!(
-                "--refine-threads {n} exceeds the cap of {}",
-                maskfrac::fracture::refine::MAX_REFINE_THREADS
-            )
-            .into());
-        }
-        cfg.refine_threads = n; // 0 = auto-detect
     }
     if let Some(k) = parsed_flag::<usize>(args, "--coarse-factor")? {
         if !(1..=4).contains(&k) {
@@ -299,16 +287,6 @@ fn config_from_flags(args: &[String]) -> Result<FractureConfig, Box<dyn std::err
             }
         };
     }
-    if let Some(n) = parsed_flag::<usize>(args, "--rebuild-threads")? {
-        if n > maskfrac::fracture::refine::MAX_REFINE_THREADS {
-            return Err(format!(
-                "--rebuild-threads {n} exceeds the cap of {}",
-                maskfrac::fracture::refine::MAX_REFINE_THREADS
-            )
-            .into());
-        }
-        cfg.rebuild_threads = n; // 0 = auto-detect
-    }
     Ok(cfg)
 }
 
@@ -326,11 +304,9 @@ fn cmd_fracture(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "--svg",
         "--out",
         "--deadline-ms",
-        "--refine-threads",
         "--coarse-factor",
         "--relaxed-scoring",
         "--intensity-backend",
-        "--rebuild-threads",
     ];
     allowed.extend_from_slice(&OBS_FLAGS);
     check_flags(args, &allowed)?;
@@ -464,9 +440,6 @@ fn layout_options_from_flags(
         options.watchdog_min_samples = samples;
     }
     options.geom_cache = flag_value(args, "--geom-cache").map(std::path::PathBuf::from);
-    if let Some(n) = parsed_flag::<usize>(args, "--rebuild-threads")? {
-        options.rebuild_threads = Some(n); // 0 = auto-detect
-    }
     Ok(options)
 }
 
@@ -498,11 +471,9 @@ fn fault_scope_from_flags(
 fn cmd_fracture_layout(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut allowed = vec![
         "--threads",
-        "--refine-threads",
         "--coarse-factor",
         "--relaxed-scoring",
         "--intensity-backend",
-        "--rebuild-threads",
         "--deadline-ms",
         "--checkpoint",
         "--resume",

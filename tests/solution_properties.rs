@@ -2,7 +2,7 @@
 //! fractured and the solutions re-verified from scratch.
 
 use maskfrac::ebeam::{evaluate, Classification, IntensityMap};
-use maskfrac::fracture::{FractureConfig, ModelBasedFracturer};
+use maskfrac::fracture::{FractureConfig, ModelBasedFracturer, RefineOutcome};
 use maskfrac::geom::{Bitmap, Frame, Polygon, Rect};
 use maskfrac_rng::check::{self, check};
 use maskfrac_rng::StdRng;
@@ -97,11 +97,40 @@ fn single_rectangles_fracture_to_one_shot() {
     });
 }
 
+/// Runs `run` on `available_parallelism()` threads at once. Every thread
+/// is inside a refinement loop, so the spare-core gate is saturated and
+/// greedy passes mostly score serially — the counterpart of a run alone,
+/// whose passes score on the idle core.
+fn on_every_core<T: Send>(run: impl Fn() -> T + Sync) -> Vec<T> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..cores).map(|_| scope.spawn(&run)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("concurrent run panicked"))
+            .collect()
+    })
+}
+
+/// Asserts that `out` reproduces `want` exactly: shots, iteration count
+/// and failing pixels.
+fn assert_same_outcome(out: &RefineOutcome, want: &RefineOutcome, what: &str) {
+    assert_eq!(out.shots, want.shots, "{what}: shot lists diverged");
+    assert_eq!(out.iterations, want.iterations, "{what}: iterations");
+    assert_eq!(
+        out.summary.fail_count(),
+        want.summary.fail_count(),
+        "{what}: failing pixels diverged"
+    );
+}
+
 /// The incremental dirty-window engine and the full-rescan reference path
-/// must produce byte-identical shot lists at any thread count: caching and
-/// parallel scoring are pure optimizations, never allowed to change which
-/// candidate moves are accepted or in what order. Runs the real clip suite
-/// end to end through refinement in all three engine configurations.
+/// must produce byte-identical shot lists whether a greedy pass scores on
+/// the spare core or serially: caching and parallel scoring are pure
+/// optimizations, never allowed to change which candidate moves are
+/// accepted or in what order. Runs the real clip suite end to end through
+/// refinement: the reference, the incremental engine alone, and the
+/// incremental engine on every core at once.
 #[test]
 fn refinement_engines_agree_bit_for_bit_on_clip_suite() {
     use maskfrac::fracture::approximate_fracture;
@@ -124,11 +153,9 @@ fn refinement_engines_agree_bit_for_bit_on_clip_suite() {
             &base,
             fracturer.lth(),
         );
-        let mut reference = None;
-        for (incremental, threads) in [(false, 1usize), (true, 1), (true, 4)] {
+        let run = |incremental: bool| {
             let cfg = FractureConfig {
                 incremental_refine: incremental,
-                refine_threads: threads,
                 // The fast-tier knobs at their defaults are part of the
                 // parity contract: coarse-to-fine off and exact scoring
                 // must take exactly the legacy code path.
@@ -136,25 +163,14 @@ fn refinement_engines_agree_bit_for_bit_on_clip_suite() {
                 relaxed_scoring: false,
                 ..base.clone()
             };
-            let out = refine(&cls, fracturer.model(), &cfg, approx.shots.clone());
-            match &reference {
-                None => reference = Some(out),
-                Some(want) => {
-                    assert_eq!(
-                        out.shots, want.shots,
-                        "{}: engine (incremental={incremental}, threads={threads}) \
-                         diverged from the full-rescan reference",
-                        clip.id
-                    );
-                    assert_eq!(out.iterations, want.iterations, "{}", clip.id);
-                    assert_eq!(
-                        out.summary.fail_count(),
-                        want.summary.fail_count(),
-                        "{}",
-                        clip.id
-                    );
-                }
-            }
+            refine(&cls, fracturer.model(), &cfg, approx.shots.clone())
+        };
+        let reference = run(false);
+        let what = format!("{}: incremental alone", clip.id);
+        assert_same_outcome(&run(true), &reference, &what);
+        let what = format!("{}: incremental saturated", clip.id);
+        for out in on_every_core(|| run(true)) {
+            assert_same_outcome(&out, &reference, &what);
         }
     }
 }
@@ -164,7 +180,7 @@ fn refinement_engines_agree_bit_for_bit_on_clip_suite() {
 /// must leave no more failing pixels than the exact engine does from the
 /// same starting solution (the engine's exact-path fallback enforces
 /// this — see `fracture::refine`), and each tier must be deterministic
-/// across scoring thread counts.
+/// whether its passes score on the spare core or serially.
 #[test]
 fn fast_tiers_track_exact_quality_on_clip_suite() {
     use maskfrac::fracture::approximate_fracture;
@@ -192,7 +208,8 @@ fn fast_tiers_track_exact_quality_on_clip_suite() {
                 relaxed_scoring,
                 ..base.clone()
             };
-            let out = refine(&cls, fracturer.model(), &cfg, approx.shots.clone());
+            let run = || refine(&cls, fracturer.model(), &cfg, approx.shots.clone());
+            let out = run();
             assert!(
                 out.summary.fail_count() <= exact.summary.fail_count(),
                 "{}: tier (coarse={coarse_factor}, relaxed={relaxed_scoring}) left {} \
@@ -201,17 +218,13 @@ fn fast_tiers_track_exact_quality_on_clip_suite() {
                 out.summary.fail_count(),
                 exact.summary.fail_count()
             );
-            let t4 = FractureConfig {
-                refine_threads: 4,
-                ..cfg.clone()
-            };
-            let again = refine(&cls, fracturer.model(), &t4, approx.shots.clone());
-            assert_eq!(
-                out.shots, again.shots,
-                "{}: tier (coarse={coarse_factor}, relaxed={relaxed_scoring}) is not \
-                 deterministic across thread counts",
-                clip.id
-            );
+            for again in on_every_core(run) {
+                let what = format!(
+                    "{}: tier (coarse={coarse_factor}, relaxed={relaxed_scoring}) saturated",
+                    clip.id
+                );
+                assert_same_outcome(&again, &out, &what);
+            }
         }
     }
 }
