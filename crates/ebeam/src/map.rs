@@ -17,8 +17,9 @@
 //! - **Default (tier 1, bit-exact):** [`ExposureModel::edge_factor`]
 //!   through the interpolated edge-profile LUT. This is the
 //!   tier the refinement parity harness pins: `add_shot` / `remove_shot` /
-//!   [`IntensityMap::replace_shot`] / [`IntensityMap::apply_shot_visit`]
-//!   all produce byte-identical grids for the same mutation sequence.
+//!   [`IntensityMap::replace_shot`] and the row-wise apply behind
+//!   [`crate::violations::ViolationTracker::apply`] all produce
+//!   byte-identical grids for the same mutation sequence.
 //! - **Lattice (tier 2, relaxed):** after
 //!   [`IntensityMap::enable_lattice_profiles`], profiles are read from the
 //!   integer-lattice [`crate::intensity::LatticeLut`] — a direct table hit
@@ -87,10 +88,12 @@ pub struct IntensityMap {
     // Grow-only scratch for per-application edge factors, reused across
     // calls so the steady-state hot path performs no heap allocation.
     // Two pairs: `replace_shot` needs both rects' factors live at once.
+    // `prev` holds one row's pre-update values for `apply_shot_rows`.
     fx: Vec<f64>,
     fy: Vec<f64>,
     fx2: Vec<f64>,
     fy2: Vec<f64>,
+    prev: Vec<f64>,
     // Tier-2 profile table; `None` selects the bit-exact default tier.
     lattice: Option<std::sync::Arc<crate::intensity::LatticeLut>>,
 }
@@ -118,6 +121,7 @@ impl IntensityMap {
             fy: Vec::new(),
             fx2: Vec::new(),
             fy2: Vec::new(),
+            prev: Vec::new(),
             lattice: None,
         }
     }
@@ -346,69 +350,71 @@ impl IntensityMap {
             let base = iy * width;
             let fyv = fy[j] * sign;
             // Explicit four-lane multiply-add over contiguous slices.
-            // Bit-exact with the visit path: same per-pixel `old + fx·fyv`
-            // in the same order.
             axpy_row(&mut self.values[base + xs.start..base + xs.end], &fx, fyv);
         }
         (self.fx, self.fy) = (fx, fy);
     }
 
-    /// Applies `sign ×` the shot's intensity, reporting every touched
-    /// pixel to `visit` as `(ix, iy, old, new)`.
+    /// Applies `sign ×` the shot's intensity one window row at a time,
+    /// handing each row to `row` as `(iy, xs, old, new)`: the row's
+    /// window columns and their values before and after the update.
     ///
-    /// This is the hook incremental violation tracking hangs off
-    /// ([`crate::violations::ViolationTracker`]): the caller observes the
-    /// exact per-pixel transition the map performs, so a running failure
-    /// summary stays bit-for-bit consistent with a from-scratch
-    /// re-evaluation of the final map.
-    pub fn apply_shot_visit<F: FnMut(usize, usize, f64, f64)>(
-        &mut self,
-        shot: &Rect,
-        sign: f64,
-        mut visit: F,
-    ) {
+    /// Each row is updated by the same [`axpy_row`] as
+    /// [`add_shot`](Self::add_shot), so the grid is bit-identical to the
+    /// plain path. This is the hook incremental violation tracking hangs
+    /// off ([`crate::violations::ViolationTracker::apply`]), which reads
+    /// only the few pixels of each row that can change its summary.
+    pub(crate) fn apply_shot_rows<F>(&mut self, shot: &Rect, sign: f64, mut row: F)
+    where
+        F: FnMut(usize, std::ops::Range<usize>, &[f64], &[f64]),
+    {
         let (xs, ys) = self.affected_window(shot);
         if xs.is_empty() || ys.is_empty() {
             return;
         }
         maskfrac_obs::counter!("ebeam.kernel.convolutions").incr();
-        // Separable profile: one edge factor per row/column.
         let (mut fx, mut fy) = (std::mem::take(&mut self.fx), std::mem::take(&mut self.fy));
+        let mut prev = std::mem::take(&mut self.prev);
         self.fill_edge_factors(shot, &xs, &ys, &mut fx, &mut fy);
         let width = self.frame.width();
         for (j, iy) in ys.clone().enumerate() {
             let base = iy * width;
-            let fyv = fy[j] * sign;
-            // New values are computed in the same four-lane blocks as
-            // `axpy_row` (bit-exact — each pixel is independent), then
-            // reported to `visit` strictly left to right.
-            let row = &mut self.values[base + xs.start..base + xs.end];
-            let mut i = 0usize;
-            let mut rows = row.chunks_exact_mut(4);
-            let mut fxs = fx.chunks_exact(4);
-            for (r, f) in rows.by_ref().zip(fxs.by_ref()) {
-                let news = [
-                    r[0] + f[0] * fyv,
-                    r[1] + f[1] * fyv,
-                    r[2] + f[2] * fyv,
-                    r[3] + f[3] * fyv,
-                ];
-                for k in 0..4 {
-                    let old = r[k];
-                    r[k] = news[k];
-                    visit(xs.start + i + k, iy, old, news[k]);
-                }
-                i += 4;
-            }
-            for (v, &f) in rows.into_remainder().iter_mut().zip(fxs.remainder()) {
-                let old = *v;
-                let new = old + f * fyv;
-                *v = new;
-                visit(xs.start + i, iy, old, new);
-                i += 1;
-            }
+            let values = &mut self.values[base + xs.start..base + xs.end];
+            prev.clear();
+            prev.extend_from_slice(values);
+            axpy_row(values, &fx, fy[j] * sign);
+            row(iy, xs.clone(), &prev, values);
         }
         (self.fx, self.fy) = (fx, fy);
+        self.prev = prev;
+    }
+
+    /// Largest `|ΔI|` that adding or removing a strip `width` pixels thin
+    /// (and of any length) can cause at one pixel, on this map's profile
+    /// tier: the thin side's peak edge factor over the lattice's pixel
+    /// centres times the long side's saturated plateau.
+    ///
+    /// Edge factors depend only on the integer offset between an edge and
+    /// a pixel centre, so evaluating them at offsets from 0 gives the
+    /// exact values every placement of such a strip produces.
+    pub(crate) fn strip_reach(&self, width: i64) -> f64 {
+        let r = self.model.support_radius_px() + width;
+        let thin = (-r..=r)
+            .map(|c| self.edge_factor_at(0, width, c))
+            .fold(0.0, f64::max);
+        // Far beyond every profile table's saturation point.
+        let far = 1i64 << 32;
+        thin * self.edge_factor_at(-far, far, 0)
+    }
+
+    /// The edge factor of the interval `[a, b]` at the pixel centre
+    /// `c + ½`, on this map's profile tier (the per-value counterpart of
+    /// `fill_edge_factors`).
+    fn edge_factor_at(&self, a: i64, b: i64, c: i64) -> f64 {
+        match &self.lattice {
+            Some(lut) => lut.edge_factor(a, b, c),
+            None => self.model.edge_factor(a as f64, b as f64, c as f64 + 0.5),
+        }
     }
 }
 

@@ -328,7 +328,7 @@ fn refine_core(
     // Incremental state: the tracker carries the failure summary forward
     // per strip (no per-iteration frame scan), the engine carries scored
     // candidates forward per shot (no per-pass full re-score).
-    let mut tracker = ViolationTracker::new(cls, &map);
+    let mut tracker = ViolationTracker::with_live_buffer(cls, &map, scratch.take_live_mask());
     let mut engine =
         GreedyEngine::from_scratch(cfg, shots.len(), std::mem::take(&mut scratch.engine));
 
@@ -436,6 +436,7 @@ fn refine_core(
 
     // Hand the arena its buffers back for the next shape on this worker.
     scratch.engine = engine.into_scratch();
+    scratch.put_live_mask(tracker.into_live_buffer());
     scratch.put_map_values(map.into_values());
 
     maskfrac_obs::counter!("fracture.refine.iterations").add(iterations as u64);
@@ -860,7 +861,7 @@ impl GreedyEngine {
         let spare = (self.scratch.strips.len() >= 2)
             .then(spare_core::take_spare)
             .flatten();
-        self.score_strips(cls, map, cfg, spare.is_some());
+        self.score_strips(cls, map, tracker, cfg, spare.is_some());
         drop(spare);
         self.cache_scores(sidx);
 
@@ -977,15 +978,16 @@ impl GreedyEngine {
         maskfrac_obs::counter!("refine.candidates.scored").add(strips.len() as u64);
     }
 
-    /// Scores every listed strip against the frozen map. Both threads
-    /// (the caller, plus one scoped helper when `helper` is set) claim
-    /// strips from one atomic counter and store each score in the
-    /// strip's own slot, so the scores do not depend on which thread
-    /// computed them.
+    /// Scores every listed strip against the frozen map, over the
+    /// tracker's live pixels. Both threads (the caller, plus one scoped
+    /// helper when `helper` is set) claim strips from one atomic counter
+    /// and store each score in the strip's own slot, so the scores do not
+    /// depend on which thread computed them.
     fn score_strips(
         &mut self,
         cls: &Classification,
         map: &IntensityMap,
+        tracker: &ViolationTracker,
         cfg: &FractureConfig,
         helper: bool,
     ) {
@@ -1003,7 +1005,11 @@ impl GreedyEngine {
             let Some((_, m)) = strips.get(k) else {
                 break;
             };
-            let score = strip_delta(cls, map, &m.strip, m.sign, cfg);
+            let score = if cfg.relaxed_scoring {
+                tracker.cost_delta_for_strip_relaxed(cls, map, &m.strip, m.sign)
+            } else {
+                tracker.cost_delta_for_strip(cls, map, &m.strip, m.sign)
+            };
             scores[k].store(score.to_bits(), Ordering::Relaxed);
         };
         if helper {
@@ -1788,36 +1794,72 @@ mod tests {
     /// The dirty-window bookkeeping must only ever *skip* re-scoring of
     /// shots whose cached scores are provably unchanged — verified here by
     /// comparing every pass of an incremental run against a freshly scored
-    /// engine on the same state.
+    /// engine on the same state. Before each pass, every strip the pass
+    /// lists is also scored over the tracker's live pixels and over its
+    /// full window: the two scores must match bit for bit, on both tiers.
     #[test]
     fn cached_scores_match_fresh_scores_after_each_pass() {
         let target = square(60);
-        let (cls, model, cfg) = setup(&target);
-        let mut shots = vec![
-            Rect::new(-3, 2, 32, 58).unwrap(),
-            Rect::new(28, -2, 63, 57).unwrap(),
-        ];
-        let mut map = IntensityMap::new(model, cls.frame());
-        for s in &shots {
-            map.add_shot(s);
-        }
-        let mut tracker = ViolationTracker::new(&cls, &map);
-        let mut engine = GreedyEngine::new(&cfg, shots.len());
-        for _ in 0..12 {
-            // Mirror state for the reference engine before the pass runs.
-            let mut ref_shots = shots.clone();
-            let mut ref_map = map.clone();
-            let mut ref_tracker = ViolationTracker::new(&cls, &ref_map);
-            let mut ref_engine = GreedyEngine::new(&cfg, ref_shots.len());
-            ref_engine.incremental = false;
+        let (cls, model, exact) = setup(&target);
+        let relaxed = FractureConfig {
+            relaxed_scoring: true,
+            ..exact.clone()
+        };
+        for cfg in [exact, relaxed] {
+            let mut shots = vec![
+                Rect::new(-3, 2, 32, 58).unwrap(),
+                Rect::new(28, -2, 63, 57).unwrap(),
+            ];
+            let mut map = IntensityMap::new(model.clone(), cls.frame());
+            if cfg.relaxed_scoring {
+                map.enable_lattice_profiles();
+            }
+            for s in &shots {
+                map.add_shot(s);
+            }
+            let mut tracker = ViolationTracker::new(&cls, &map);
+            let mut engine = GreedyEngine::new(&cfg, shots.len());
+            for _ in 0..12 {
+                let mut listed = GreedyEngine::new(&cfg, shots.len());
+                for stride in [1, 2] {
+                    listed.list_strips(&shots, &cfg, stride);
+                    for (_, m) in &listed.scratch.strips {
+                        let (masked, full) = if cfg.relaxed_scoring {
+                            (
+                                tracker.cost_delta_for_strip_relaxed(&cls, &map, &m.strip, m.sign),
+                                cost_delta_for_strip_relaxed(&cls, &map, &m.strip, m.sign),
+                            )
+                        } else {
+                            (
+                                tracker.cost_delta_for_strip(&cls, &map, &m.strip, m.sign),
+                                cost_delta_for_strip(&cls, &map, &m.strip, m.sign),
+                            )
+                        };
+                        assert_eq!(masked.to_bits(), full.to_bits(), "strip {}", m.strip);
+                    }
+                }
 
-            let moved = engine.pass(&cls, &mut map, &mut tracker, &mut shots, &cfg, 1);
-            let ref_moved =
-                ref_engine.pass(&cls, &mut ref_map, &mut ref_tracker, &mut ref_shots, &cfg, 1);
-            assert_eq!(moved, ref_moved);
-            assert_eq!(shots, ref_shots, "cached scores drifted from fresh scores");
-            if !moved {
-                break;
+                // Mirror state for the reference engine before the pass runs.
+                let mut ref_shots = shots.clone();
+                let mut ref_map = map.clone();
+                let mut ref_tracker = ViolationTracker::new(&cls, &ref_map);
+                let mut ref_engine = GreedyEngine::new(&cfg, ref_shots.len());
+                ref_engine.incremental = false;
+
+                let moved = engine.pass(&cls, &mut map, &mut tracker, &mut shots, &cfg, 1);
+                let ref_moved = ref_engine.pass(
+                    &cls,
+                    &mut ref_map,
+                    &mut ref_tracker,
+                    &mut ref_shots,
+                    &cfg,
+                    1,
+                );
+                assert_eq!(moved, ref_moved);
+                assert_eq!(shots, ref_shots, "cached scores drifted from fresh scores");
+                if !moved {
+                    break;
+                }
             }
         }
     }
@@ -1843,12 +1885,13 @@ mod tests {
         ];
         let mut map = IntensityMap::new(model, cls.frame());
         map.rebuild(&shots);
+        let tracker = ViolationTracker::new(&cls, &map);
         for stride in [1, 2] {
             let cached = |helper: bool| {
                 let mut engine = GreedyEngine::new(&cfg, shots.len());
                 engine.list_strips(&shots, &cfg, stride);
                 assert!(engine.scratch.strips.len() >= 2);
-                engine.score_strips(&cls, &map, &cfg, helper);
+                engine.score_strips(&cls, &map, &tracker, &cfg, helper);
                 engine.cache_scores(ShotCache::slot(stride));
                 let key =
                     |m: &ScoredMove| (m.delta_cost.to_bits(), edge_rank(m.edge), m.delta, m.strip);

@@ -2,12 +2,12 @@
 //!
 //! Layout-scale fracturing runs the whole pipeline once per distinct
 //! shape; without reuse every shape pays fresh heap allocations for the
-//! intensity grid, the class grid, and the refinement engine's candidate
-//! cache. [`FractureScratch`] recycles those buffers between shapes on the
-//! same worker thread: buffers are taken out of the arena at the start of
-//! a stage and handed back (grown, never shrunk) when the stage finishes,
-//! so steady-state per-shape allocation drops to zero once the arena has
-//! seen the largest shape.
+//! intensity grid, the violation tracker's live mask, the class grid, and
+//! the refinement engine's candidate cache. [`FractureScratch`] recycles
+//! those buffers between shapes on the same worker thread: buffers are
+//! taken out of the arena at the start of a stage and handed back (grown,
+//! never shrunk) when the stage finishes, so steady-state per-shape
+//! allocation drops to zero once the arena has seen the largest shape.
 //!
 //! The arena is deliberately *lossy under panics*: a stage that unwinds
 //! simply never returns its buffers, leaving empty vectors behind. The
@@ -43,6 +43,7 @@ use maskfrac_ebeam::PixelClass;
 #[derive(Debug, Default)]
 pub struct FractureScratch {
     map_values: Vec<f64>,
+    live_mask: Vec<u64>,
     classes: Vec<PixelClass>,
     pub(crate) engine: EngineScratch,
 }
@@ -65,6 +66,21 @@ impl FractureScratch {
         // the pipeline) may hand back more than one candidate.
         if values.capacity() > self.map_values.capacity() {
             self.map_values = values;
+        }
+    }
+
+    /// Takes the violation tracker's live-mask buffer. It is sized by the
+    /// same frame as the intensity grid, so its reuse is not counted
+    /// separately.
+    pub(crate) fn take_live_mask(&mut self) -> Vec<u64> {
+        std::mem::take(&mut self.live_mask)
+    }
+
+    /// Returns the live-mask buffer to the arena (the larger one wins, as
+    /// for the intensity grid).
+    pub(crate) fn put_live_mask(&mut self, mask: Vec<u64>) {
+        if mask.capacity() > self.live_mask.capacity() {
+            self.live_mask = mask;
         }
     }
 
